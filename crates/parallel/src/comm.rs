@@ -161,6 +161,18 @@ impl<M: Send> RankCtx<M> {
         self.rx.try_recv().ok()
     }
 
+    /// Non-blocking [`recv_match`](Self::recv_match): the first queued
+    /// message satisfying `pred`, if any; everything else stays buffered
+    /// in arrival order.
+    pub fn try_recv_match(
+        &mut self,
+        pred: impl FnMut(&Envelope<M>) -> bool,
+    ) -> Option<Envelope<M>> {
+        self.buffer.extend(self.rx.try_iter());
+        let pos = self.buffer.iter().position(pred)?;
+        self.buffer.remove(pos)
+    }
+
     /// Drain everything currently queued without blocking.
     pub fn drain(&mut self) -> Vec<Envelope<M>> {
         let mut out = Vec::new();

@@ -35,11 +35,13 @@
 
 use crate::comm::{Envelope, Outbox, RankCtx};
 use crate::obs::{Counter, Tracer};
-use crate::roles::PhonebookStats;
+use crate::roles::{
+    controller_machine, ElasticOps, PhonebookStats, RoleMachine, RoleOut, RoleSet, RuntimeConfig,
+};
+use crate::runtime::block_on;
 use crate::scheduler::{
-    collector_rank, collector_role, controller_role, phonebook_role, root_role, CollectorData,
-    ElasticOps, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
-    LEVEL, PHONEBOOK, ROOT,
+    CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
+    PHONEBOOK, ROOT,
 };
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -51,7 +53,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use uq_mlmcmc::ledger::PairingMode;
-use uq_mlmcmc::store::{fnv1a, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError};
+use uq_mlmcmc::store::{
+    fnv1a, Backend, ChainCkpt, Codec, Dec, Enc, RunSnapshot, RunStore, StoreError,
+};
 use uq_mlmcmc::LevelFactory;
 
 /// Version stamped into every frame header. Bump on any change to the
@@ -645,7 +649,9 @@ struct DriverShared {
 struct DriverCtx {
     sh: Arc<DriverShared>,
     factory: Arc<dyn LevelFactory>,
-    config: ParallelConfig,
+    /// The run's configuration in the thread layout (one collector per
+    /// level).
+    config: RuntimeConfig,
     /// Outbox template for every rank hosted here: fixed ranks
     /// short-circuit through channels, all controller ranks relay
     /// through the router (so migrations only touch the route table).
@@ -697,7 +703,6 @@ fn spawn_controller_thread(
     std::thread::Builder::new()
         .name(format!("uq-net-ctrl-{rank}"))
         .spawn(move || {
-            LEVEL.with(|l| l.set(None));
             let ctx = RankCtx::from_parts(
                 rank,
                 dc.n_ranks,
@@ -705,19 +710,24 @@ fn spawn_controller_thread(
                 dc.template.clone(),
                 Arc::clone(&dc.sh.dropped),
             );
-            let level = resume
-                .as_ref()
-                .map_or_else(|| dc.config.initial_level(rank), |c| c.level);
-            controller_role(
-                ctx,
+            let machine = controller_machine(
                 &*dc.factory,
                 &dc.config,
                 &dc.sh.tracer,
-                level,
+                rank,
                 resume.as_ref(),
-            )
+            );
+            drive_controller(machine, ctx)
         })
         .expect("net driver: controller thread spawn failed")
+}
+
+/// Run a controller machine on the calling thread. Returns the rank's
+/// context — with anything still queued for it — only when the machine
+/// retired at a barrier, so the transport can re-host the rank.
+fn drive_controller(mut machine: RoleMachine<'_>, ctx: RankCtx<Msg>) -> Option<RankCtx<Msg>> {
+    let (out, ctx) = block_on(&mut *machine, ctx);
+    matches!(out, RoleOut::Retired).then_some(ctx)
 }
 
 fn spawn_downlink(
@@ -893,7 +903,7 @@ fn rehost_barrier(dc: &Arc<DriverCtx>, snap: &RunSnapshot) {
             &Frame::Assign {
                 n_ranks: dc.n_ranks,
                 ranks: ranks.clone(),
-                config: dc.config.clone(),
+                config: dc.config.base.clone(),
                 ckpts,
                 leftovers,
             },
@@ -988,6 +998,7 @@ impl NetDriver {
         opts: &NetDriverOptions,
         tracer: &Tracer,
     ) -> NetReport {
+        let config = RuntimeConfig::one_shard(config.clone());
         let n_ranks = config.n_ranks();
         let first_ctrl = config.first_controller_rank();
         let n_ctrl = n_ranks - first_ctrl;
@@ -996,12 +1007,6 @@ impl NetDriver {
             opts.workers <= n_ctrl,
             "net driver: more workers than controller ranks"
         );
-        if opts.store.is_some() {
-            assert!(
-                !config.load_balancing,
-                "net driver: checkpointing requires load_balancing = false"
-            );
-        }
         let start = Instant::now();
 
         // rendezvous: block until every initial worker said Hello
@@ -1091,7 +1096,7 @@ impl NetDriver {
         let dc = Arc::new(DriverCtx {
             sh: Arc::clone(&sh),
             factory,
-            config: config.clone(),
+            config,
             template,
             n_ranks,
             first_ctrl,
@@ -1105,7 +1110,7 @@ impl NetDriver {
                 &Frame::Assign {
                     n_ranks,
                     ranks: peer.ranks.clone(),
-                    config: config.clone(),
+                    config: dc.config.base.clone(),
                     ckpts: vec![],
                     leftovers: vec![],
                 },
@@ -1135,46 +1140,6 @@ impl NetDriver {
                 .expect("net driver: router thread spawn failed")
         };
 
-        let ckpt_every = if opts.store.is_some() { opts.every } else { 0 };
-        let mut fixed_handles = Vec::new();
-        {
-            let rx = fixed_rxs[PHONEBOOK].take().unwrap();
-            let dc2 = Arc::clone(&dc);
-            fixed_handles.push(
-                std::thread::Builder::new()
-                    .name("uq-net-phonebook".into())
-                    .spawn(move || {
-                        let mut ctx = RankCtx::from_parts(
-                            PHONEBOOK,
-                            dc2.n_ranks,
-                            rx,
-                            dc2.template.clone(),
-                            Arc::clone(&dc2.sh.dropped),
-                        );
-                        phonebook_role(&mut ctx, &dc2.config, &dc2.sh.tracer, None);
-                    })
-                    .expect("net driver: phonebook thread spawn failed"),
-            );
-        }
-        for level in 0..config.n_levels() {
-            let rx = fixed_rxs[collector_rank(level)].take().unwrap();
-            let dc2 = Arc::clone(&dc);
-            fixed_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("uq-net-collector-{level}"))
-                    .spawn(move || {
-                        let mut ctx = RankCtx::from_parts(
-                            collector_rank(level),
-                            dc2.n_ranks,
-                            rx,
-                            dc2.template.clone(),
-                            Arc::clone(&dc2.sh.dropped),
-                        );
-                        collector_role(&mut ctx, level, &dc2.config, ckpt_every, None);
-                    })
-                    .expect("net driver: collector thread spawn failed"),
-            );
-        }
         for rank in first_ctrl + opts.workers * per..n_ranks {
             let (tx, rx) = unbounded();
             sh.routes.lock()[rank] = Route::Local(tx);
@@ -1182,50 +1147,57 @@ impl NetDriver {
             sh.handles.lock().insert(rank, handle);
         }
 
-        // the root runs on this thread so the elastic hooks can borrow
-        let mut root_ctx = RankCtx::from_parts(
-            ROOT,
-            n_ranks,
-            fixed_rxs[ROOT].take().unwrap(),
-            dc.template.clone(),
-            Arc::clone(&dropped),
+        // the fixed ranks run on scoped threads and the root on this one,
+        // so their machines can borrow the checkpoint spec and the
+        // elastic hooks
+        let ckpt = opts.store.as_deref().map(|store| ParallelCheckpoint {
+            store,
+            config_hash: opts.config_hash,
+            every: opts.every,
+            on_snapshot: None,
+            stop: None,
+        });
+        let plan = |_: &RunSnapshot| plan_barrier(&dc);
+        let rehost = |snap: &RunSnapshot, _: &[usize]| rehost_barrier(&dc, snap);
+        let elastic = ElasticOps {
+            plan: &plan,
+            rehost: &rehost,
+        };
+        let mut roles = RoleSet::new(
+            &*dc.factory,
+            &dc.config,
+            tracer,
+            Backend::Thread,
+            ckpt.as_ref(),
+            None,
         );
-        let store_arc = opts.store.clone();
-        let report = {
-            let ckpt = store_arc.as_ref().map(|s| ParallelCheckpoint {
-                store: s,
-                config_hash: opts.config_hash,
-                every: opts.every,
-                on_snapshot: None,
-                stop: None,
-            });
-            let plan = {
-                let dc = Arc::clone(&dc);
-                move |_snap: &RunSnapshot| plan_barrier(&dc)
-            };
-            let rehost = {
-                let dc = Arc::clone(&dc);
-                move |snap: &RunSnapshot, _retiring: &[usize]| rehost_barrier(&dc, snap)
-            };
-            let elastic = ElasticOps {
-                plan: &plan,
-                rehost: &rehost,
-            };
-            let elastic_opt = if ckpt.is_some() { Some(&elastic) } else { None };
-            root_role(
-                &mut root_ctx,
-                config,
-                start,
-                tracer,
-                ckpt.as_ref(),
-                elastic_opt,
+        roles.start = start;
+        roles.elastic = ckpt.is_some().then_some(&elastic);
+        let rank_ctx = |rank: usize, rx: Option<_>| {
+            RankCtx::from_parts(
+                rank,
+                n_ranks,
+                rx.expect("fixed rank receiver"),
+                dc.template.clone(),
+                Arc::clone(&dropped),
             )
         };
+        let (report, root_ctx) = std::thread::scope(|scope| {
+            for rank in PHONEBOOK..first_ctrl {
+                let ctx = rank_ctx(rank, fixed_rxs[rank].take());
+                let roles = &roles;
+                std::thread::Builder::new()
+                    .name(format!("uq-net-rank-{rank}"))
+                    .spawn_scoped(scope, move || block_on(&mut *roles.machine(rank), ctx).0)
+                    .expect("net driver: fixed rank thread spawn failed");
+            }
+            let root_ctx = rank_ctx(ROOT, fixed_rxs[ROOT].take());
+            let (out, root_ctx) = block_on(&mut *roles.machine(ROOT), root_ctx);
+            (RoleOut::root([out]).0, root_ctx)
+        });
 
-        // teardown: reap local ranks, then the wire machinery
-        for h in fixed_handles {
-            h.join().expect("net driver: fixed rank panicked");
-        }
+        // teardown: reap local ranks (the fixed ones joined with their
+        // scope), then the wire machinery
         let handles: Vec<_> = sh.handles.lock().drain().collect();
         for (_, h) in handles {
             let _ = h.join().expect("net driver: controller panicked");
@@ -1415,7 +1387,7 @@ pub fn run_net_worker(
             .expect("net worker: downlink thread spawn failed")
     };
 
-    let config = Arc::new(config);
+    let config = Arc::new(RuntimeConfig::one_shard(config));
     let mut rank_threads = Vec::new();
     for (rank, rx) in local_rxs {
         let factory = Arc::clone(&factory);
@@ -1428,12 +1400,10 @@ pub fn run_net_worker(
             std::thread::Builder::new()
                 .name(format!("uq-net-ctrl-{rank}"))
                 .spawn(move || {
-                    LEVEL.with(|l| l.set(None));
                     let ctx = RankCtx::from_parts(rank, n_ranks, rx, template, dropped);
-                    let level = resume
-                        .as_ref()
-                        .map_or_else(|| config.initial_level(rank), |c| c.level);
-                    controller_role(ctx, &*factory, &config, &tracer, level, resume.as_ref())
+                    let machine =
+                        controller_machine(&*factory, &config, &tracer, rank, resume.as_ref());
+                    drive_controller(machine, ctx)
                 })
                 .expect("net worker: rank thread spawn failed"),
         );

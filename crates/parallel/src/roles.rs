@@ -1,17 +1,24 @@
-//! The MLMCMC role protocols (paper Fig. 8) ported onto the cooperative
-//! [`runtime`](crate::runtime): the **same scheduling policy** as the
-//! thread scheduler in [`crate::scheduler`], executed by suspendable
-//! state machines so paper-scale rank counts run live on a few cores.
+//! The MLMCMC role protocols (paper Fig. 8) — root, phonebook, per-level
+//! collectors and controllers — as suspendable state machines. This is
+//! the one implementation of the four roles; three executors run it:
 //!
-//! Differences from the thread scheduler — all mechanical, none of
-//! policy:
+//! * the pooled [`runtime`](crate::runtime) ([`run_runtime`]): many
+//!   virtual ranks per worker thread, so paper-scale rank counts run
+//!   live on a few cores;
+//! * thread-per-rank ([`crate::scheduler::run_parallel`]): every rank
+//!   owns an OS thread and [`block_on`] drives
+//!   its machine over a [`crate::comm`] channel;
+//! * TCP ([`crate::net`]): thread-per-rank again, with remote ranks
+//!   behind sockets.
+//!
+//! Mechanics shared by all three:
 //!
 //! * **Suspendable controllers.** A controller's coupled chain uses
 //!   [`PendingCoarseSource`], so a step that needs a coarse proposal
 //!   suspends at `StepOutcome::NeedCoarse`; the controller sends the
 //!   `CoarseRequest` itself, parks on a wait predicate and finishes the
 //!   step via `MlChain::resume_step` when the sample (or a teardown
-//!   poison) arrives. No OS thread ever blocks on a chain's behalf.
+//!   poison) arrives.
 //! * **Batched phonebook routing.** The phonebook drains *every* queued
 //!   message per wakeup and routes the whole batch in one pass; batch
 //!   sizes are reported in [`PhonebookStats`] (the `BENCH_PR3` routing
@@ -20,19 +27,21 @@
 //!   ranks; controllers scatter corrections round-robin, shards absorb a
 //!   quota of `N_l / shards` each and the root merges their streaming
 //!   moments (Chan's parallel combination) at shutdown, so no single
-//!   collector rank serializes a fast level.
+//!   collector rank serializes a fast level. The thread and TCP
+//!   executors run one shard per level.
 //!
-//! With `collector_shards == 1` the rank layout is identical to the
-//! thread scheduler's (root 0, phonebook 1, collectors `2..2+L+1`,
-//! controllers after) and controllers derive the same per-rank RNG
-//! streams, which is what the `scaling_live` experiment's estimate
-//! cross-check relies on.
+//! With `collector_shards == 1` the rank layout is root 0, phonebook 1,
+//! collectors `2..2+L+1`, controllers after, and every executor derives
+//! the same per-rank RNG streams: in the deterministic regime (one chain
+//! per level, load balancing off, one runtime worker) all three produce
+//! bit-identical per-sample traces, pinned by `tests/golden_digests.rs`.
 
+use crate::comm::{RankCtx, Universe};
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
-use crate::runtime::{Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
+use crate::runtime::{block_on, Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
 use crate::scheduler::{
     controller_seed, poison_sample, CollectorData, Msg, ParallelCheckpoint, ParallelConfig,
-    ParallelLevelReport, ParallelReport,
+    ParallelLevelReport, ParallelReport, PHONEBOOK, ROOT,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,10 +54,7 @@ use uq_mlmcmc::ledger::{self, LedgerBook, LedgerLease, LedgerState, LedgerStats,
 use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot};
 use uq_mlmcmc::LevelFactory;
 
-const ROOT: usize = 0;
-const PHONEBOOK: usize = 1;
-
-/// Configuration of a cooperative-runtime run: the thread scheduler's
+/// Configuration of a cooperative-runtime run: the shared
 /// [`ParallelConfig`] plus the runtime's worker-pool and sharding knobs.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
@@ -56,8 +62,8 @@ pub struct RuntimeConfig {
     pub base: ParallelConfig,
     /// OS threads driving the virtual ranks.
     pub n_workers: usize,
-    /// Collector shards per level (`1` reproduces the thread scheduler's
-    /// rank layout exactly).
+    /// Collector shards per level (`1` is the thread and TCP executors'
+    /// rank layout).
     pub collector_shards: usize,
 }
 
@@ -66,6 +72,16 @@ impl RuntimeConfig {
         Self {
             base: ParallelConfig::new(samples_per_level, chains_per_level),
             n_workers: 4,
+            collector_shards: 1,
+        }
+    }
+
+    /// The thread and TCP executors' layout: one collector per level
+    /// (the worker count is unused there).
+    pub(crate) fn one_shard(base: ParallelConfig) -> Self {
+        Self {
+            base,
+            n_workers: 1,
             collector_shards: 1,
         }
     }
@@ -81,7 +97,7 @@ impl RuntimeConfig {
             + self.base.chains_per_level.iter().sum::<usize>()
     }
 
-    fn first_controller_rank(&self) -> usize {
+    pub(crate) fn first_controller_rank(&self) -> usize {
         2 + self.n_levels() * self.collector_shards
     }
 
@@ -90,7 +106,7 @@ impl RuntimeConfig {
     }
 
     /// Initial level of the controller at `rank`.
-    fn initial_level(&self, rank: usize) -> usize {
+    pub(crate) fn initial_level(&self, rank: usize) -> usize {
         let mut offset = rank - self.first_controller_rank();
         for (level, &count) in self.base.chains_per_level.iter().enumerate() {
             if offset < count {
@@ -143,8 +159,8 @@ impl PhonebookStats {
 /// Results of a cooperative-runtime run.
 #[derive(Clone, Debug)]
 pub struct RuntimeReport {
-    /// The assembled estimator report — same shape as the thread
-    /// scheduler's, so downstream analysis is backend-agnostic.
+    /// The assembled estimator report — same shape on every executor,
+    /// so downstream analysis is backend-agnostic.
     pub report: ParallelReport,
     pub phonebook: PhonebookStats,
     /// Runtime counters (polls, wakeups, dropped shutdown sends).
@@ -156,10 +172,44 @@ pub struct RuntimeReport {
     pub preempted: bool,
 }
 
-/// Per-rank outputs collected by the runtime.
-enum RoleOut {
+/// What a role machine exits with.
+pub(crate) enum RoleOut {
+    /// The root's assembled report, phonebook statistics and whether
+    /// the run was preempted at a barrier.
     Root(Box<(ParallelReport, PhonebookStats, bool)>),
     Quiet,
+    /// A controller told to [`Msg::Retire`] at a held checkpoint barrier:
+    /// its state is in the barrier snapshot, and the transport re-hosts
+    /// it elsewhere together with whatever is still queued for it.
+    Retired,
+}
+
+impl RoleOut {
+    /// The root's output among a run's per-rank outputs.
+    pub(crate) fn root(
+        outs: impl IntoIterator<Item = RoleOut>,
+    ) -> (ParallelReport, PhonebookStats, bool) {
+        outs.into_iter()
+            .find_map(|out| match out {
+                RoleOut::Root(boxed) => Some(*boxed),
+                _ => None,
+            })
+            .expect("root must produce a report")
+    }
+}
+
+/// Transport hooks for elastic membership (used by `crate::net`): at
+/// every completed checkpoint barrier the root asks the transport which
+/// ranks must retire (`plan`), sends each a [`Msg::Retire`], and blocks
+/// in `rehost` until the transport has re-hosted those ranks elsewhere
+/// from the just-persisted snapshot and rewired its routes. Only then
+/// is `CheckpointDone` broadcast and stepping resumed — the barrier
+/// window (every chain paused at a clean boundary, ledger drained, no
+/// messages in flight toward controllers) is what makes migration a
+/// plain data move.
+pub(crate) struct ElasticOps<'a> {
+    pub plan: &'a (dyn Fn(&RunSnapshot) -> Vec<usize> + Sync),
+    pub rehost: &'a (dyn Fn(&RunSnapshot, &[usize]) + Sync),
 }
 
 // ---------------------------------------------------------------------
@@ -191,6 +241,10 @@ struct RootRank<'a> {
     reassignments: usize,
     /// Checkpoint policy (None disables the quiesce protocol).
     ckpt: Option<&'a ParallelCheckpoint<'a>>,
+    /// Executor tag stamped into snapshots.
+    backend: Backend,
+    /// Membership hooks run inside each completed barrier (net only).
+    elastic: Option<&'a ElasticOps<'a>>,
     /// A checkpoint is in flight (at most one at a time; shutdown waits
     /// for it so a snapshot cut is never torn).
     ckpt_active: bool,
@@ -203,17 +257,13 @@ struct RootRank<'a> {
 }
 
 impl<'a> RootRank<'a> {
-    fn new(
-        config: &'a RuntimeConfig,
-        start: Instant,
-        tracer: &Tracer,
-        ckpt: Option<&'a ParallelCheckpoint<'a>>,
-    ) -> Self {
+    fn new(roles: &RoleSet<'a>) -> Self {
+        let config = roles.config;
         let n_levels = config.n_levels();
         Self {
             config,
-            start,
-            tracer: tracer.clone(),
+            start: roles.start,
+            tracer: roles.tracer.clone(),
             phase: RootPhase::Levels,
             shards_done: vec![0; n_levels],
             level_done: vec![false; n_levels],
@@ -224,7 +274,9 @@ impl<'a> RootRank<'a> {
             evals: vec![0; n_levels],
             eval_secs: vec![0.0; n_levels],
             reassignments: 0,
-            ckpt,
+            ckpt: roles.checkpoint,
+            backend: roles.backend,
+            elastic: roles.elastic,
             ckpt_active: false,
             ckpt_start: 0.0,
             chain_ckpts: Vec::new(),
@@ -244,7 +296,8 @@ impl<'a> RootRank<'a> {
         }
     }
 
-    /// Assemble the consistent cut, persist it, resume the controllers.
+    /// Assemble the consistent cut, persist it, let the transport move
+    /// ranks while the barrier holds, resume the controllers.
     fn complete_checkpoint(&mut self, ctx: &VCtx<'_, Msg>, ledger: LedgerState) {
         let spec = self
             .ckpt
@@ -259,7 +312,7 @@ impl<'a> RootRank<'a> {
             .map(|c| c.count)
             .sum();
         let snapshot = RunSnapshot {
-            backend: Backend::Runtime,
+            backend: self.backend,
             seed: self.config.base.seed,
             samples_done,
             chains: std::mem::take(&mut self.chain_ckpts),
@@ -273,6 +326,16 @@ impl<'a> RootRank<'a> {
             .expect("checkpoint: snapshot write failed");
         if let Some(hook) = spec.on_snapshot {
             hook(samples_done, &hash);
+        }
+        // elastic membership: retire and re-host ranks while every chain
+        // is still paused and the ledger drained — no message can race
+        // the move
+        let retiring = self.elastic.map_or_else(Vec::new, |e| (e.plan)(&snapshot));
+        if let Some(e) = self.elastic.filter(|_| !retiring.is_empty()) {
+            for &rank in &retiring {
+                ctx.send(rank, Msg::Retire);
+            }
+            (e.rehost)(&snapshot, &retiring);
         }
         if spec
             .stop
@@ -289,8 +352,11 @@ impl<'a> RootRank<'a> {
                 *done = true;
             }
         } else {
+            // a re-hosted rank resumes unpaused; it needs no Done
             for rank in self.config.first_controller_rank()..self.config.n_ranks() {
-                ctx.send(rank, Msg::CheckpointDone);
+                if !retiring.contains(&rank) {
+                    ctx.send(rank, Msg::CheckpointDone);
+                }
             }
         }
         self.tracer.record(
@@ -536,8 +602,7 @@ struct PhonebookRank<'a> {
     level_of: std::collections::HashMap<usize, usize>,
     done: Vec<bool>,
     stats: PhonebookStats,
-    // reassignment rate limiting at the model-runtime timescale (same
-    // policy as the thread scheduler's phonebook)
+    // reassignment rate limiting at the model-runtime timescale
     last_ready_at: Vec<f64>,
     ema_interval: Vec<f64>,
     last_reassign_at: f64,
@@ -1101,8 +1166,8 @@ impl<'a> ControllerRank<'a> {
         self.factory.subsampling_rate(self.level).max(1)
     }
 
-    /// Trace span for the next chain step — burn-in steps must show up
-    /// as `Burnin` like the thread scheduler's (Fig. 9's yellow boxes).
+    /// Trace span for the next chain step — burn-in steps show up as
+    /// `Burnin` (Fig. 9's yellow boxes).
     fn span_kind(&self) -> SpanKind {
         if self.burnin_left > 0 {
             SpanKind::Burnin { level: self.level }
@@ -1115,8 +1180,8 @@ impl<'a> ControllerRank<'a> {
         self.level + 1 >= self.config.n_levels()
     }
 
-    /// Bookkeeping after a completed chain step (mirrors the thread
-    /// scheduler's post-step block).
+    /// Bookkeeping after a completed chain step: burn-in countdown or
+    /// one correction to the next collector shard.
     fn post_step(&mut self, ctx: &VCtx<'_, Msg>) {
         if self.burnin_left > 0 {
             self.burnin_left -= 1;
@@ -1330,13 +1395,17 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
 
     fn poll(&mut self, ctx: &mut VCtx<'_, Msg>) -> Poll<Msg, RoleOut> {
         // 1. control messages. While a coarse request or a serve job is
-        //    in flight, `Reassign` stays buffered (the thread scheduler
-        //    likewise finishes in-flight work before rebuilding).
+        //    in flight, `Reassign` and `Checkpoint` stay buffered: the
+        //    in-flight work finishes before a rebuild or a capture.
         let busy = self.awaiting != Await::None || self.serve_job.is_some();
         while let Some(env) = ctx.try_recv_match(|e| {
             matches!(
                 e.msg,
-                Msg::Serve { .. } | Msg::StopProducing { .. } | Msg::Shutdown | Msg::CheckpointDone
+                Msg::Serve { .. }
+                    | Msg::StopProducing { .. }
+                    | Msg::Shutdown
+                    | Msg::CheckpointDone
+                    | Msg::Retire
             ) || (!busy && matches!(e.msg, Msg::Reassign { .. } | Msg::Checkpoint))
         }) {
             match env.msg {
@@ -1356,9 +1425,9 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                 Msg::Checkpoint => {
                     // `!busy` gates this arm: no own step or serve job is
                     // mid-flight, so the chain sits at a clean boundary
-                    // and the rng between draws. Unlike the thread
-                    // scheduler this point can be mid-burn-in — the real
-                    // `burnin_left` is captured. Flush markers trail our
+                    // and the rng between draws. This point can be
+                    // mid-burn-in — the real `burnin_left` is captured.
+                    // Flush markers trail our
                     // last Correction to every shard (FIFO per
                     // destination).
                     for shard in 0..self.config.collector_shards {
@@ -1408,6 +1477,18 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                     self.reset_level_state();
                 }
                 Msg::Shutdown => return self.teardown(ctx),
+                Msg::Retire => {
+                    // only ever sent while a barrier holds: our state is
+                    // already in the snapshot and no serve can be in
+                    // flight toward us. No poisons, no report — the
+                    // re-hosted instance reports at shutdown.
+                    debug_assert!(self.paused, "Retire outside a checkpoint barrier");
+                    debug_assert!(
+                        self.pending_serves.is_empty() && self.serve_job.is_none(),
+                        "Retire with serves pending"
+                    );
+                    return Poll::Exit(RoleOut::Retired);
+                }
                 _ => unreachable!(),
             }
         }
@@ -1541,8 +1622,8 @@ fn coarse_wait_pred(want_level: usize) -> crate::runtime::WaitPred<Msg> {
 // driver
 // ---------------------------------------------------------------------
 
-/// Run parallel MLMCMC on the cooperative runtime: the thread scheduler's
-/// policy with virtual ranks, batched routing and sharded collectors.
+/// Run parallel MLMCMC on the cooperative runtime: the role machines as
+/// virtual ranks on a worker pool, with sharded collectors.
 ///
 /// # Panics
 /// Panics on inconsistent configuration (levels beyond the factory,
@@ -1605,45 +1686,14 @@ pub fn run_runtime_ckpt_on(
     checkpoint: Option<&ParallelCheckpoint<'_>>,
     resume: Option<&RunSnapshot>,
 ) -> RuntimeReport {
-    assert!(
-        config.n_levels() <= factory.n_levels(),
-        "run_runtime: more levels configured than the factory provides"
+    let roles = RoleSet::new(
+        factory,
+        config,
+        tracer,
+        Backend::Runtime,
+        checkpoint,
+        resume,
     );
-    assert!(
-        config.base.chains_per_level.iter().all(|&c| c >= 1),
-        "run_runtime: every level needs at least one chain"
-    );
-    assert!(config.collector_shards >= 1, "run_runtime: need >= 1 shard");
-    if checkpoint.is_some() || resume.is_some() {
-        assert!(
-            !config.base.load_balancing,
-            "run_runtime: checkpoint/resume requires load_balancing = false \
-             (snapshots pin each chain to a level)"
-        );
-    }
-    let first_controller = config.first_controller_rank();
-    if let Some(snap) = resume {
-        assert!(
-            matches!(snap.backend, Backend::Runtime),
-            "run_runtime: snapshot was taken by the {} backend",
-            snap.backend
-        );
-        assert_eq!(
-            snap.seed, config.base.seed,
-            "run_runtime: snapshot seed mismatch"
-        );
-        assert_eq!(
-            snap.chains.len(),
-            config.n_ranks() - first_controller,
-            "run_runtime: snapshot chain count mismatch"
-        );
-        assert_eq!(
-            snap.collectors.len(),
-            config.n_levels() * config.collector_shards,
-            "run_runtime: snapshot collector count mismatch"
-        );
-    }
-    let ckpt_every = checkpoint.map_or(0, |c| c.every);
     // observe work steals as spans on the stolen rank's timeline. The
     // probe runs on the thief's idle path only (after the victim queue
     // lock is released), so installing it cannot perturb scheduling.
@@ -1654,54 +1704,11 @@ pub fn run_runtime_ckpt_on(
             t.mark(rank, SpanKind::Steal { victim });
         })));
     }
-    let start = Instant::now();
-    let run = runtime.run(
-        config.n_ranks(),
-        |rank, _| -> Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + '_> {
-            if rank == ROOT {
-                Box::new(RootRank::new(config, start, tracer, checkpoint))
-            } else if rank == PHONEBOOK {
-                Box::new(PhonebookRank::new(
-                    config,
-                    tracer,
-                    resume.and_then(|s| s.ledger.as_ref()),
-                ))
-            } else if rank < first_controller {
-                let level = (rank - 2) / config.collector_shards;
-                let shard = (rank - 2) % config.collector_shards;
-                Box::new(CollectorRank::new(
-                    level,
-                    shard,
-                    config.shard_quota(level, shard),
-                    config.base.record_samples,
-                    config.base.chains_per_level[level],
-                    // pacing shard: snapshot collectors are sorted by
-                    // (level, shard), so index == rank - 2
-                    (ckpt_every > 0 && level + 1 == config.n_levels() && shard == 0)
-                        .then_some(ckpt_every),
-                    resume.map(|s| &s.collectors[rank - 2]),
-                ))
-            } else {
-                Box::new(ControllerRank::new(
-                    factory,
-                    config,
-                    tracer,
-                    rank,
-                    resume.map(|s| &s.chains[rank - first_controller]),
-                ))
-            }
-        },
-    );
+    let run = runtime.run(config.n_ranks(), |rank, _| roles.machine(rank));
     if probe_installed {
         runtime.set_steal_probe(None);
     }
-    let mut report = None;
-    for out in run.results {
-        if let RoleOut::Root(boxed) = out {
-            report = Some(*boxed);
-        }
-    }
-    let (report, phonebook, preempted) = report.expect("root must produce a report");
+    let (report, phonebook, preempted) = RoleOut::root(run.results);
     RuntimeReport {
         report,
         phonebook,
@@ -1709,6 +1716,168 @@ pub fn run_runtime_ckpt_on(
         n_workers: runtime.n_workers(),
         preempted,
     }
+}
+
+/// The thread-per-rank executor behind [`crate::scheduler::run_parallel_ckpt`]:
+/// one OS thread per rank, each driving its role machine with
+/// [`block_on`] over a [`crate::comm`] channel, one collector shard per
+/// level. Snapshots are tagged [`Backend::Thread`].
+pub(crate) fn run_threads(
+    factory: &dyn LevelFactory,
+    config: &ParallelConfig,
+    tracer: &Tracer,
+    checkpoint: Option<&ParallelCheckpoint<'_>>,
+    resume: Option<&RunSnapshot>,
+) -> ParallelReport {
+    let config = RuntimeConfig::one_shard(config.clone());
+    let roles = RoleSet::new(
+        factory,
+        &config,
+        tracer,
+        Backend::Thread,
+        checkpoint,
+        resume,
+    );
+    let outs = Universe::run(config.n_ranks(), |ctx: RankCtx<Msg>| {
+        block_on(&mut *roles.machine(ctx.rank()), ctx).0
+    });
+    RoleOut::root(outs).0
+}
+
+/// A boxed role machine, drivable by every executor.
+pub(crate) type RoleMachine<'a> = Box<dyn VirtualRank<Msg, Output = RoleOut> + Send + 'a>;
+
+/// Everything the role machines of one run are built from; hands out
+/// the machine of any rank to whichever executor drives it.
+pub(crate) struct RoleSet<'a> {
+    pub factory: &'a dyn LevelFactory,
+    pub config: &'a RuntimeConfig,
+    pub tracer: &'a Tracer,
+    pub start: Instant,
+    /// Executor tag stamped into snapshots (a resume must match it).
+    pub backend: Backend,
+    pub checkpoint: Option<&'a ParallelCheckpoint<'a>>,
+    pub resume: Option<&'a RunSnapshot>,
+    pub elastic: Option<&'a ElasticOps<'a>>,
+}
+
+impl<'a> RoleSet<'a> {
+    /// Validate the run's configuration against the factory and the
+    /// resume snapshot, and start its clock.
+    ///
+    /// # Panics
+    /// Panics on inconsistent configuration (levels beyond the factory,
+    /// levels without chains, zero shards, checkpointing with load
+    /// balancing on) or a snapshot from another backend, seed or layout.
+    pub(crate) fn new(
+        factory: &'a dyn LevelFactory,
+        config: &'a RuntimeConfig,
+        tracer: &'a Tracer,
+        backend: Backend,
+        checkpoint: Option<&'a ParallelCheckpoint<'a>>,
+        resume: Option<&'a RunSnapshot>,
+    ) -> Self {
+        assert!(
+            config.n_levels() <= factory.n_levels(),
+            "{backend} run: more levels configured than the factory provides"
+        );
+        assert!(
+            config.base.chains_per_level.iter().all(|&c| c >= 1),
+            "{backend} run: every level needs at least one chain"
+        );
+        assert!(
+            config.collector_shards >= 1,
+            "{backend} run: need >= 1 shard"
+        );
+        if checkpoint.is_some() || resume.is_some() {
+            assert!(
+                !config.base.load_balancing,
+                "{backend} run: checkpoint/resume requires load_balancing = false \
+                 (snapshots pin each chain to a level)"
+            );
+        }
+        if let Some(snap) = resume {
+            assert!(
+                snap.backend == backend,
+                "{backend} run: snapshot was taken by the {} backend",
+                snap.backend
+            );
+            assert_eq!(
+                snap.seed, config.base.seed,
+                "{backend} run: snapshot seed mismatch"
+            );
+            assert_eq!(
+                snap.chains.len(),
+                config.n_ranks() - config.first_controller_rank(),
+                "{backend} run: snapshot chain count mismatch"
+            );
+            assert_eq!(
+                snap.collectors.len(),
+                config.n_levels() * config.collector_shards,
+                "{backend} run: snapshot collector count mismatch"
+            );
+        }
+        Self {
+            factory,
+            config,
+            tracer,
+            start: Instant::now(),
+            backend,
+            checkpoint,
+            resume,
+            elastic: None,
+        }
+    }
+
+    /// The role machine of `rank`.
+    pub(crate) fn machine(&self, rank: usize) -> RoleMachine<'a> {
+        let config = self.config;
+        let first_controller = config.first_controller_rank();
+        if rank == ROOT {
+            Box::new(RootRank::new(self))
+        } else if rank == PHONEBOOK {
+            Box::new(PhonebookRank::new(
+                config,
+                self.tracer,
+                self.resume.and_then(|s| s.ledger.as_ref()),
+            ))
+        } else if rank < first_controller {
+            let level = (rank - 2) / config.collector_shards;
+            let shard = (rank - 2) % config.collector_shards;
+            let every = self.checkpoint.map_or(0, |c| c.every);
+            Box::new(CollectorRank::new(
+                level,
+                shard,
+                config.shard_quota(level, shard),
+                config.base.record_samples,
+                config.base.chains_per_level[level],
+                // pacing shard: snapshot collectors are sorted by
+                // (level, shard), so index == rank - 2
+                (every > 0 && level + 1 == config.n_levels() && shard == 0).then_some(every),
+                self.resume.map(|s| &s.collectors[rank - 2]),
+            ))
+        } else {
+            controller_machine(
+                self.factory,
+                config,
+                self.tracer,
+                rank,
+                self.resume.map(|s| &s.chains[rank - first_controller]),
+            )
+        }
+    }
+}
+
+/// The controller machine of `rank`, optionally resumed from its
+/// checkpointed chain (how the net transport re-hosts a migrated rank).
+pub(crate) fn controller_machine<'a>(
+    factory: &'a dyn LevelFactory,
+    config: &'a RuntimeConfig,
+    tracer: &'a Tracer,
+    rank: usize,
+    resume: Option<&ChainCkpt>,
+) -> RoleMachine<'a> {
+    Box::new(ControllerRank::new(factory, config, tracer, rank, resume))
 }
 
 #[cfg(test)]
@@ -1844,7 +2013,7 @@ mod tests {
     #[test]
     fn many_virtual_ranks_on_few_workers() {
         // more controllers than any machine has cores: 60 chains on 3
-        // worker threads (the thread scheduler would spawn 66 threads)
+        // worker threads (thread-per-rank would spawn 66 threads)
         let h = GaussianHierarchy::three_level();
         let mut config = RuntimeConfig::new(vec![3000, 900, 300], vec![30, 20, 10]);
         config.n_workers = 3;
@@ -1954,7 +2123,7 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, SpanKind::Eval { .. })));
-        // burn-in steps must be classified like the thread scheduler's
+        // burn-in steps must be classified as such (Fig. 9)
         assert!(events
             .iter()
             .any(|e| matches!(e.kind, SpanKind::Burnin { .. })));

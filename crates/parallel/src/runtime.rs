@@ -30,7 +30,7 @@
 //! single-worker runs remain exactly deterministic. The MLMCMC role
 //! protocols ported onto this runtime live in [`crate::roles`].
 
-use crate::comm::Envelope;
+use crate::comm::{Envelope, RankCtx};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -166,13 +166,25 @@ impl<M: Send> Shared<M> {
 }
 
 /// Per-poll communication handle of a virtual rank — the non-blocking
-/// counterpart of [`crate::comm::RankCtx`].
+/// counterpart of [`crate::comm::RankCtx`]. A machine sees the same
+/// handle whichever executor drives it: the pooled [`Runtime`] or a
+/// dedicated OS thread ([`block_on`]).
 pub struct VCtx<'a, M: Send> {
     rank: usize,
     size: usize,
-    shared: &'a Shared<M>,
-    /// Rank-local buffer of already-pulled messages (arrival order).
-    buffer: &'a mut VecDeque<Envelope<M>>,
+    mailbox: Mailbox<'a, M>,
+}
+
+/// Where a [`VCtx`] sends and receives.
+enum Mailbox<'a, M: Send> {
+    /// A rank slot of the pooled runtime plus the rank-local buffer of
+    /// already-pulled messages (arrival order).
+    Pooled {
+        shared: &'a Shared<M>,
+        buffer: &'a mut VecDeque<Envelope<M>>,
+    },
+    /// The channel endpoint of a rank that owns its OS thread.
+    Thread(&'a mut RankCtx<M>),
 }
 
 impl<M: Send> VCtx<'_, M> {
@@ -189,10 +201,15 @@ impl<M: Send> VCtx<'_, M> {
     /// Send `msg` to rank `to`; never blocks. Sends to exited ranks —
     /// and to out-of-range rank indices, a routine race under elastic
     /// membership rather than a programmer error — are dropped and
-    /// counted in [`RuntimeStats::dropped_sends`].
+    /// counted (in [`RuntimeStats::dropped_sends`] on the pooled runtime,
+    /// in the universe tally on a thread).
     pub fn send(&self, to: usize, msg: M) {
+        let shared = match &self.mailbox {
+            Mailbox::Thread(ctx) => return ctx.send(to, msg),
+            Mailbox::Pooled { shared, .. } => *shared,
+        };
         if to >= self.size {
-            let prev = self.shared.dropped_sends.fetch_add(1, Ordering::Relaxed);
+            let prev = shared.dropped_sends.fetch_add(1, Ordering::Relaxed);
             #[cfg(debug_assertions)]
             if prev == 0 {
                 eprintln!(
@@ -205,7 +222,7 @@ impl<M: Send> VCtx<'_, M> {
             let _ = prev;
             return;
         }
-        self.shared.send(
+        shared.send(
             to,
             Envelope {
                 from: self.rank,
@@ -214,23 +231,17 @@ impl<M: Send> VCtx<'_, M> {
         );
     }
 
-    /// Move everything queued in the shared mailbox into the rank-local
-    /// buffer (one lock acquisition).
-    fn pull(&mut self) {
-        let mut slot = self.shared.slots[self.rank]
-            .lock()
-            .expect("runtime poisoned");
-        while let Some(env) = slot.queue.pop_front() {
-            self.buffer.push_back(env);
-        }
-    }
-
     /// Non-blocking receive of the next message in arrival order.
     pub fn try_recv(&mut self) -> Option<Envelope<M>> {
-        if self.buffer.is_empty() {
-            self.pull();
+        match &mut self.mailbox {
+            Mailbox::Thread(ctx) => ctx.try_recv(),
+            Mailbox::Pooled { shared, buffer } => {
+                if buffer.is_empty() {
+                    pull(shared, self.rank, buffer);
+                }
+                buffer.pop_front()
+            }
         }
-        self.buffer.pop_front()
     }
 
     /// Non-blocking receive of the first message satisfying `pred`;
@@ -240,15 +251,58 @@ impl<M: Send> VCtx<'_, M> {
         &mut self,
         mut pred: impl FnMut(&Envelope<M>) -> bool,
     ) -> Option<Envelope<M>> {
-        self.pull();
-        let pos = self.buffer.iter().position(&mut pred)?;
-        self.buffer.remove(pos)
+        match &mut self.mailbox {
+            Mailbox::Thread(ctx) => ctx.try_recv_match(pred),
+            Mailbox::Pooled { shared, buffer } => {
+                pull(shared, self.rank, buffer);
+                let pos = buffer.iter().position(&mut pred)?;
+                buffer.remove(pos)
+            }
+        }
     }
 
     /// Put a message back at the front of the buffer (next to be
     /// returned by `try_recv`).
     pub fn unrecv(&mut self, env: Envelope<M>) {
-        self.buffer.push_front(env);
+        match &mut self.mailbox {
+            Mailbox::Thread(ctx) => ctx.unrecv(env),
+            Mailbox::Pooled { buffer, .. } => buffer.push_front(env),
+        }
+    }
+}
+
+/// Move everything queued in `rank`'s shared mailbox into its rank-local
+/// buffer (one lock acquisition).
+fn pull<M: Send>(shared: &Shared<M>, rank: usize, buffer: &mut VecDeque<Envelope<M>>) {
+    let mut slot = shared.slots[rank].lock().expect("runtime poisoned");
+    buffer.extend(slot.queue.drain(..));
+}
+
+/// Drive one machine to completion on the calling thread, which the rank
+/// owns: `Ready` polls again, `Wait(pred)` blocks in
+/// [`RankCtx::recv_match`] and hands the matching message back to the
+/// machine, `Exit` returns the output together with the context — so
+/// anything still queued for the rank, including messages the machine
+/// had pulled but not consumed, travels on with it (how the net
+/// transport migrates a retiring rank).
+pub fn block_on<M: Send, R>(
+    machine: &mut dyn VirtualRank<M, Output = R>,
+    mut ctx: RankCtx<M>,
+) -> (R, RankCtx<M>) {
+    loop {
+        let mut vctx = VCtx {
+            rank: ctx.rank(),
+            size: ctx.size(),
+            mailbox: Mailbox::Thread(&mut ctx),
+        };
+        match machine.poll(&mut vctx) {
+            Poll::Ready => {}
+            Poll::Wait(mut pred) => {
+                let env = ctx.recv_match(&mut pred);
+                ctx.unrecv(env);
+            }
+            Poll::Exit(out) => return (out, ctx),
+        }
     }
 }
 
@@ -532,8 +586,10 @@ where
         let mut ctx = VCtx {
             rank,
             size: n_ranks,
-            shared,
-            buffer: &mut entry.buffer,
+            mailbox: Mailbox::Pooled {
+                shared,
+                buffer: &mut entry.buffer,
+            },
         };
         match entry.machine.poll(&mut ctx) {
             Poll::Ready => {

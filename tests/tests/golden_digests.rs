@@ -180,9 +180,11 @@ fn thread_executor_with_a_mid_run_checkpoint_matches_the_golden_digest() {
         None,
     );
     let _ = std::fs::remove_dir_all(&dir);
+    // the first tick always cuts a snapshot; later ticks are skipped
+    // while one is still in flight, so the count beyond one is timing
     assert!(
-        snapshots.into_inner() >= 2,
-        "the fixture must cut at least two mid-run snapshots"
+        snapshots.into_inner() >= 1,
+        "the fixture must cut a mid-run snapshot"
     );
     assert_eq!(hex(levels_digest(&report.levels)), hex(DIGEST_CHECKPOINTED));
 }
