@@ -1,10 +1,8 @@
 //! Sparse matrices in COO (assembly) and CSR (compute) formats.
 //!
 //! FEM assembly accumulates triplets into a [`CooMatrix`]; the solver phase
-//! converts once to [`CsrMatrix`] which provides serial and Rayon-parallel
-//! matrix–vector products plus the row access the SSOR preconditioner needs.
-
-use rayon::prelude::*;
+//! converts once to [`CsrMatrix`] which provides the matrix–vector
+//! products plus the row access the SSOR preconditioner needs.
 
 /// Coordinate-format (triplet) sparse matrix used during assembly.
 ///
@@ -270,19 +268,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Rayon-parallel matrix–vector product (row-partitioned; used on the
-    /// fine FEM levels where rows ≫ cores).
-    pub fn par_matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "par_matvec: dimension mismatch");
-        (0..self.rows)
-            .into_par_iter()
-            .map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum()
-            })
-            .collect()
-    }
-
     /// Symmetry check up to `tol` (structure-agnostic; O(nnz · log nnz)).
     pub fn is_symmetric(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -422,13 +407,6 @@ mod tests {
         let a = small_csr();
         let y = a.matvec(&[1.0, 2.0, 3.0]);
         assert_eq!(y, vec![0.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    fn par_matvec_matches_serial() {
-        let a = small_csr();
-        let x = vec![0.3, -1.2, 2.2];
-        assert_eq!(a.matvec(&x), a.par_matvec(&x));
     }
 
     #[test]
