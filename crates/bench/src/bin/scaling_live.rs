@@ -5,11 +5,12 @@
 //! discrete-event *simulation* (`fig11_strong_scaling`) can now be
 //! **measured**. This experiment:
 //!
-//! 1. **Validates by construction** that the runtime executes the same
-//!    scheduling policy as the thread scheduler: identical seeds, same
-//!    configuration, per-level estimates compared — exact across repeated
-//!    single-worker runs (deterministic routing), tolerance-checked
-//!    against the thread scheduler (whose interleaving is OS-dependent).
+//! 1. **Validates by construction** that the pooled runtime and the
+//!    thread-per-rank executor of the same role machines agree:
+//!    identical seeds, same configuration, per-level estimates compared
+//!    — exact across repeated single-worker runs (deterministic
+//!    routing), tolerance-checked against the thread-per-rank executor
+//!    (whose interleaving is OS-dependent).
 //! 2. **Sweeps rank counts** 64 → 1024 on ≤ 8 worker threads against a
 //!    synthetic-cost Gaussian hierarchy (a busy-spin makes each model
 //!    evaluation ≈ µs-scale so the run is model-bound like the paper's,

@@ -286,15 +286,15 @@ impl fmt::Display for Backend {
 pub struct ChainCkpt {
     pub rank: usize,
     pub level: usize,
-    /// Burn-in steps still owed (cooperative runtime controllers can
-    /// checkpoint mid-burn-in; thread controllers always report 0).
+    /// Burn-in steps still owed (a controller can checkpoint
+    /// mid-burn-in).
     pub burnin_left: usize,
     pub producing: bool,
     /// Levels whose `StopProducing` this controller has observed.
     pub done_levels: Vec<bool>,
-    /// Round-robin cursor over the level's collector shards (cooperative
-    /// runtime; the thread scheduler has one collector per level and
-    /// reports 0).
+    /// Round-robin cursor over the level's collector shards (the thread
+    /// and TCP executors run one collector per level, so the cursor is
+    /// immaterial there).
     pub shard_rr: usize,
     /// xoshiro256++ state words of the controller's own stream.
     pub rng: [u64; 4],

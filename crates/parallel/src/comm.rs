@@ -4,7 +4,13 @@
 //! its own OS thread with a [`RankCtx`] handle providing point-to-point
 //! `send`, blocking `recv`, predicate-matching `recv_match` (the analogue
 //! of tagged `MPI_Recv`, with out-of-order messages buffered) and
-//! non-blocking `try_recv`.
+//! non-blocking `try_recv`/`try_recv_match`.
+//!
+//! This is the mailbox of the thread-per-rank and TCP executors: the
+//! role machines of [`crate::roles`] poll through a
+//! [`VCtx`](crate::runtime::VCtx) wrapping a [`RankCtx`], and
+//! [`block_on`](crate::runtime::block_on) parks a suspended machine in
+//! `recv_match` with its wait predicate.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;

@@ -9,18 +9,21 @@
 //!   substitution is documented in DESIGN.md: Rust MPI bindings are thin
 //!   and no cluster is available, but the scheduling logic and
 //!   communication pattern — the paper's contribution — are preserved.
-//! * [`scheduler`] — the process architecture of paper Fig. 8: one
-//!   **root**, one **phonebook** (sample routing + dynamic load
-//!   balancing), per-level **collectors** (distributed moment
-//!   accumulation) and chain groups (**controllers**) running the coupled
-//!   kernels from `uq-mlmcmc`, with coarse proposals requested across
-//!   controllers through the phonebook.
-//! * [`runtime`] — the cooperative virtual-rank runtime: suspendable
-//!   state machines multiplexed over a small worker pool, so
-//!   hundreds-to-thousands of ranks run **live** on a handful of cores.
-//! * [`roles`] — the same role protocols ported onto the runtime, with
-//!   batched phonebook routing and per-level sharded collectors
-//!   (`run_runtime` is the drop-in peer of `run_parallel`).
+//! * [`roles`] — the process architecture of paper Fig. 8, written once
+//!   as suspendable state machines: one **root**, one **phonebook**
+//!   (sample routing + dynamic load balancing), per-level **collectors**
+//!   (distributed moment accumulation) and chain groups
+//!   (**controllers**) running the coupled kernels from `uq-mlmcmc`,
+//!   with coarse proposals requested across controllers through the
+//!   phonebook.
+//! * [`runtime`] — the machine interface ([`VirtualRank`]) and two ways
+//!   to drive it: the cooperative worker pool, so
+//!   hundreds-to-thousands of ranks run **live** on a handful of cores
+//!   (`run_runtime`), and [`block_on`](runtime::block_on), one machine
+//!   on a thread of its own.
+//! * [`scheduler`] — the protocol vocabulary ([`scheduler::Msg`],
+//!   configuration and report types) and the thread-per-rank executor
+//!   `run_parallel`, every role machine on its own OS thread.
 //! * [`obs`] — the observability layer: per-rank activity spans (the data
 //!   behind the paper's Fig. 9 Gantt chart), counters and histograms,
 //!   shared by all three backends and exportable as Chrome trace JSON
@@ -29,10 +32,11 @@
 //! * [`des`] — a discrete-event simulator replaying the same scheduling
 //!   policy in virtual time, used to reproduce the strong/weak scaling
 //!   studies (Figs. 11–12) beyond any hardware.
-//! * [`net`] — the multi-process TCP transport: the same role protocols
-//!   over length-prefixed, checksummed frames, assembling one logical
-//!   universe from a driver plus N worker processes, with elastic
-//!   join/leave at checkpoint barriers via phonebook session migration.
+//! * [`net`] — the multi-process TCP transport: the same role machines,
+//!   thread-per-rank, over length-prefixed, checksummed frames,
+//!   assembling one logical universe from a driver plus N worker
+//!   processes, with elastic join/leave at checkpoint barriers via
+//!   phonebook session migration.
 //! * [`service`] — the always-on multi-tenant UQ service: many
 //!   concurrent inversion jobs multiplexed over one shared worker pool
 //!   with fair-share + priority dispatch, DES admission control on

@@ -2,13 +2,14 @@
 //!
 //! One **driver** process hosts the fixed ranks (root, phonebook,
 //! collectors) plus any controller remainder; each **worker** process
-//! hosts a contiguous block of controller ranks. Every process runs the
-//! exact same role functions as the in-process thread scheduler — the
-//! transport only replaces channel delivery with length-prefixed,
-//! checksummed frames over per-peer sockets, so a net run in the
-//! deterministic regime is bit-for-bit digest-identical to
-//! [`crate::scheduler::run_parallel`] (pinned by
-//! `tests/net_conformance.rs`).
+//! hosts a contiguous block of controller ranks. Every rank is one of the
+//! [`crate::roles`] state machines driven by
+//! [`block_on`] on its own thread, exactly as in
+//! [`crate::scheduler::run_parallel`] — the transport only replaces
+//! channel delivery with length-prefixed, checksummed frames over
+//! per-peer sockets, so a net run in the deterministic regime is
+//! bit-for-bit digest-identical to the in-process executors (pinned by
+//! `tests/net_conformance.rs` and `tests/golden_digests.rs`).
 //!
 //! Ordering is the load-bearing invariant: the scheduler relies on
 //! per-destination FIFO *and* on one cross-destination program-order
@@ -27,7 +28,9 @@
 //! worker's ranks (or ranks donated to a joiner) migrate as plain data —
 //! the just-persisted [`RunSnapshot`] carries their chain state, and any
 //! messages still queued in their channels travel alongside as
-//! `leftovers`. See `DESIGN.md` §9.
+//! `leftovers`. The root drives this through its elastic plan/rehost
+//! hooks; a retiring controller machine exits on [`Msg::Retire`] and
+//! [`block_on`] hands its context back. See `DESIGN.md` §9.
 //!
 //! Failure semantics are fail-stop: a peer socket dying outside a
 //! planned departure aborts the run (the snapshot store is the recovery

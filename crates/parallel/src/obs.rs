@@ -1,6 +1,7 @@
 //! Unified observability: spans, counters and histograms across all
-//! three backends (sequential estimator, thread scheduler, cooperative
-//! runtime), the ledger/phonebook and the checkpoint barrier.
+//! three backends (sequential estimator, thread-per-rank and pooled
+//! executors of the role machines), the ledger/phonebook and the
+//! checkpoint barrier.
 //!
 //! Grown from the skeletal per-rank tracer behind the paper's Fig. 9
 //! Gantt chart into a common sink for everything the scheduling stack

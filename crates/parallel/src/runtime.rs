@@ -1,10 +1,10 @@
 //! Cooperative virtual-rank runtime: many suspendable ranks per worker
 //! thread.
 //!
-//! The thread scheduler in [`crate::scheduler`] spawns one OS thread per
-//! rank, so live runs are bounded by the physical core count and only the
-//! discrete-event simulator reaches the paper's 1024-rank scale. This
-//! module removes that bound: a **virtual rank** is an explicitly
+//! Thread-per-rank execution ([`crate::scheduler::run_parallel`]) is
+//! bounded by the physical core count, so only the discrete-event
+//! simulator would reach the paper's 1024-rank scale. This module
+//! removes that bound: a **virtual rank** is an explicitly
 //! suspendable state machine implementing [`VirtualRank`] — each
 //! [`poll`](VirtualRank::poll) runs until the rank would block on a
 //! receive, then returns a *wait predicate* ([`Poll::Wait`]); the rank is
@@ -22,13 +22,17 @@
 //!
 //! Scheduling is deterministic in structure (rank `r` is *homed* on
 //! worker `r % n_workers`, run queues are FIFO) but not in timing: wakeup
-//! interleavings across workers depend on the OS, exactly like the thread
-//! scheduler's. An idle worker **steals** runnable ranks from the longest
+//! interleavings across workers depend on the OS, exactly like
+//! thread-per-rank execution. An idle worker **steals** runnable ranks from the longest
 //! run queue (machines live in per-rank cells and are `Send`, so they
 //! travel with their rank), which bounds the straggling a hot home worker
 //! can cause; with a single worker no stealing is possible, so
-//! single-worker runs remain exactly deterministic. The MLMCMC role
-//! protocols ported onto this runtime live in [`crate::roles`].
+//! single-worker runs remain exactly deterministic.
+//!
+//! The machines are executor-agnostic: [`block_on`] drives one on a
+//! thread the rank owns, over a [`RankCtx`] — the [`VCtx`] handle a
+//! machine polls with wraps either mailbox. The MLMCMC role protocols,
+//! written once as such machines, live in [`crate::roles`].
 
 use crate::comm::{Envelope, RankCtx};
 use std::collections::VecDeque;
