@@ -1427,9 +1427,8 @@ impl VirtualRank<Msg> for ControllerRank<'_> {
                     // mid-flight, so the chain sits at a clean boundary
                     // and the rng between draws. This point can be
                     // mid-burn-in — the real `burnin_left` is captured.
-                    // Flush markers trail our
-                    // last Correction to every shard (FIFO per
-                    // destination).
+                    // Flush markers trail our last Correction to every
+                    // shard (FIFO per destination).
                     for shard in 0..self.config.collector_shards {
                         ctx.send(
                             self.config.collector_rank(self.level, shard),

@@ -23,11 +23,11 @@
 //! Scheduling is deterministic in structure (rank `r` is *homed* on
 //! worker `r % n_workers`, run queues are FIFO) but not in timing: wakeup
 //! interleavings across workers depend on the OS, exactly like
-//! thread-per-rank execution. An idle worker **steals** runnable ranks from the longest
-//! run queue (machines live in per-rank cells and are `Send`, so they
-//! travel with their rank), which bounds the straggling a hot home worker
-//! can cause; with a single worker no stealing is possible, so
-//! single-worker runs remain exactly deterministic.
+//! thread-per-rank execution. An idle worker **steals** runnable ranks
+//! from the longest run queue (machines live in per-rank cells and are
+//! `Send`, so they travel with their rank), which bounds the straggling
+//! a hot home worker can cause; with a single worker no stealing is
+//! possible, so single-worker runs remain exactly deterministic.
 //!
 //! The machines are executor-agnostic: [`block_on`] drives one on a
 //! thread the rank owns, over a [`RankCtx`] — the [`VCtx`] handle a
@@ -786,6 +786,46 @@ mod tests {
         let run = Runtime::new(2).run(2, |_, _| Box::new(MatchRank { sent: false }) as Machine);
         assert_eq!(run.results[0], 7);
         assert_eq!(run.stats.dropped_sends, 0);
+    }
+
+    #[test]
+    fn block_on_drives_the_same_machines_thread_per_rank() {
+        use crate::comm::Universe;
+        // the ring on one OS thread per rank: every Wait blocks in
+        // recv_match instead of parking on a worker
+        let n = 16;
+        let out = Universe::run(n, |ctx| block_on(&mut RingRank { injected: false }, ctx).0);
+        for (rank, &v) in out.iter().enumerate() {
+            assert_eq!(v, if rank == 0 { n - 1 } else { rank - 1 });
+        }
+        // Exit hands the context back with everything the machine left
+        // unconsumed, in arrival order
+        struct TakeToken;
+        impl VirtualRank<TestMsg> for TakeToken {
+            type Output = usize;
+            fn poll(&mut self, ctx: &mut VCtx<'_, TestMsg>) -> Poll<TestMsg, usize> {
+                if ctx.rank() == 1 {
+                    ctx.send(0, TestMsg::Noise);
+                    ctx.send(0, TestMsg::Stop);
+                    ctx.send(0, TestMsg::Token(7));
+                    return Poll::Exit(0);
+                }
+                match ctx.try_recv_match(|e| matches!(e.msg, TestMsg::Token(_))) {
+                    Some(env) => match env.msg {
+                        TestMsg::Token(v) => Poll::Exit(v),
+                        _ => unreachable!(),
+                    },
+                    None => Poll::Wait(Box::new(|e| matches!(e.msg, TestMsg::Token(_)))),
+                }
+            }
+        }
+        let out = Universe::run(2, |ctx| {
+            let (v, mut ctx) = block_on(&mut TakeToken, ctx);
+            let left: Vec<TestMsg> = ctx.drain().into_iter().map(|e| e.msg).collect();
+            (v, left)
+        });
+        assert_eq!(out[0], (7, vec![TestMsg::Noise, TestMsg::Stop]));
+        assert_eq!(out[1], (0, vec![]));
     }
 
     /// A rank that burns CPU for `spins` sin() iterations, then exits.
