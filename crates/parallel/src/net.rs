@@ -44,7 +44,7 @@ use crate::roles::{
 use crate::runtime::block_on;
 use crate::scheduler::{
     CollectorData, Msg, ParallelCheckpoint, ParallelConfig, ParallelLevelReport, ParallelReport,
-    PHONEBOOK, ROOT,
+    ROOT,
 };
 use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
@@ -1039,11 +1039,11 @@ impl NetDriver {
         let per = n_ctrl / opts.workers;
         let (router_tx, router_rx) = unbounded::<(usize, Envelope<Msg>)>();
         let mut fixed_txs = Vec::new();
-        let mut fixed_rxs: Vec<Option<crossbeam::channel::Receiver<Envelope<Msg>>>> = Vec::new();
+        let mut fixed_rxs = Vec::new();
         for _ in 0..first_ctrl {
             let (tx, rx) = unbounded();
             fixed_txs.push(tx);
-            fixed_rxs.push(Some(rx));
+            fixed_rxs.push(rx);
         }
         let template: Vec<Outbox<Msg>> = (0..n_ranks)
             .map(|r| {
@@ -1176,26 +1176,23 @@ impl NetDriver {
         );
         roles.start = start;
         roles.elastic = ckpt.is_some().then_some(&elastic);
-        let rank_ctx = |rank: usize, rx: Option<_>| {
-            RankCtx::from_parts(
-                rank,
-                n_ranks,
-                rx.expect("fixed rank receiver"),
-                dc.template.clone(),
-                Arc::clone(&dropped),
-            )
+        let rank_ctx = |rank, rx| {
+            RankCtx::from_parts(rank, n_ranks, rx, dc.template.clone(), Arc::clone(&dropped))
         };
+        // fixed ranks in rank order: the root first, then the phonebook
+        // and the collectors
+        let mut fixed = fixed_rxs.into_iter().enumerate();
+        let (_, root_rx) = fixed.next().expect("net driver: no root receiver");
         let (report, root_ctx) = std::thread::scope(|scope| {
-            for rank in PHONEBOOK..first_ctrl {
-                let ctx = rank_ctx(rank, fixed_rxs[rank].take());
+            for (rank, rx) in fixed {
+                let ctx = rank_ctx(rank, rx);
                 let roles = &roles;
                 std::thread::Builder::new()
                     .name(format!("uq-net-rank-{rank}"))
                     .spawn_scoped(scope, move || block_on(&mut *roles.machine(rank), ctx).0)
                     .expect("net driver: fixed rank thread spawn failed");
             }
-            let root_ctx = rank_ctx(ROOT, fixed_rxs[ROOT].take());
-            let (out, root_ctx) = block_on(&mut *roles.machine(ROOT), root_ctx);
+            let (out, root_ctx) = block_on(&mut *roles.machine(ROOT), rank_ctx(ROOT, root_rx));
             (RoleOut::root([out]).0, root_ctx)
         });
 

@@ -544,6 +544,51 @@ mod tests {
     }
 
     #[test]
+    fn thread_stop_flag_preempts_at_a_barrier_and_resumes_bit_identically() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Mutex;
+        use uq_mlmcmc::store::RunStore;
+
+        let h = GaussianHierarchy {
+            means: vec![0.5, 1.0],
+            sds: vec![0.6, 0.5],
+        };
+        let mut config = ParallelConfig::new(vec![300, 120], vec![1, 1]);
+        config.burn_in = vec![30, 20];
+        config.load_balancing = false;
+        config.record_samples = true;
+        let baseline = run_parallel(&h, &config, &Tracer::disabled());
+
+        let dir = std::env::temp_dir().join(format!("uq-thread-stop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RunStore::open(&dir).unwrap();
+        let hashes: Mutex<Vec<String>> = Mutex::new(Vec::new());
+        let hook = |_done: usize, hash: &str| hashes.lock().unwrap().push(hash.to_string());
+        // raised before the run: the first completed barrier stops it
+        let stop = AtomicBool::new(true);
+        let spec = ParallelCheckpoint {
+            store: &store,
+            config_hash: 5,
+            every: 30,
+            on_snapshot: Some(&hook),
+            stop: Some(&stop),
+        };
+        let stopped = run_parallel_ckpt(&h, &config, &Tracer::disabled(), Some(&spec), None);
+        let hashes = hashes.into_inner().unwrap();
+        assert_eq!(hashes.len(), 1, "the run must stop at its first barrier");
+        assert!(
+            stopped.levels[1].n_samples < 120,
+            "stopped run reached its target"
+        );
+
+        let (snap, _) = store.get_snapshot(&hashes[0]).unwrap();
+        assert_eq!(snap.samples_done, stopped.levels[1].n_samples);
+        let resumed = run_parallel_ckpt(&h, &config, &Tracer::disabled(), None, Some(&snap));
+        assert_reports_identical(&baseline, &resumed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn extra_chains_on_coarse_level_share_load() {
         let h = GaussianHierarchy::three_level();
         let config = ParallelConfig::new(vec![4000, 800, 300], vec![3, 1, 1]);
