@@ -6,7 +6,7 @@
 //!   virtual ranks per worker thread, so paper-scale rank counts run
 //!   live on a few cores;
 //! * thread-per-rank ([`crate::scheduler::run_parallel`]): every rank
-//!   owns an OS thread and [`block_on`] drives
+//!   owns an OS thread and [`block_on`](crate::runtime::block_on) drives
 //!   its machine over a [`crate::comm`] channel;
 //! * TCP ([`crate::net`]): thread-per-rank again, with remote ranks
 //!   behind sockets.
@@ -36,9 +36,8 @@
 //! per level, load balancing off, one runtime worker) all three produce
 //! bit-identical per-sample traces, pinned by `tests/golden_digests.rs`.
 
-use crate::comm::{RankCtx, Universe};
 use crate::obs::{Counter, Hist, SpanKind, Tracer};
-use crate::runtime::{block_on, Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
+use crate::runtime::{Poll, Runtime, RuntimeStats, VCtx, VirtualRank};
 use crate::scheduler::{
     controller_seed, poison_sample, CollectorData, Msg, ParallelCheckpoint, ParallelConfig,
     ParallelLevelReport, ParallelReport, PHONEBOOK, ROOT,
@@ -1715,32 +1714,6 @@ pub fn run_runtime_ckpt_on(
         n_workers: runtime.n_workers(),
         preempted,
     }
-}
-
-/// The thread-per-rank executor behind [`crate::scheduler::run_parallel_ckpt`]:
-/// one OS thread per rank, each driving its role machine with
-/// [`block_on`] over a [`crate::comm`] channel, one collector shard per
-/// level. Snapshots are tagged [`Backend::Thread`].
-pub(crate) fn run_threads(
-    factory: &dyn LevelFactory,
-    config: &ParallelConfig,
-    tracer: &Tracer,
-    checkpoint: Option<&ParallelCheckpoint<'_>>,
-    resume: Option<&RunSnapshot>,
-) -> ParallelReport {
-    let config = RuntimeConfig::one_shard(config.clone());
-    let roles = RoleSet::new(
-        factory,
-        &config,
-        tracer,
-        Backend::Thread,
-        checkpoint,
-        resume,
-    );
-    let outs = Universe::run(config.n_ranks(), |ctx: RankCtx<Msg>| {
-        block_on(&mut *roles.machine(ctx.rank()), ctx).0
-    });
-    RoleOut::root(outs).0
 }
 
 /// A boxed role machine, drivable by every executor.

@@ -28,10 +28,13 @@
 //! be forwarded to an already-exited server without its requester also
 //! being woken).
 
+use crate::comm::{RankCtx, Universe};
 use crate::obs::Tracer;
+use crate::roles::{RoleOut, RoleSet, RuntimeConfig};
+use crate::runtime::block_on;
 use uq_mlmcmc::coupled::CoarseSample;
 use uq_mlmcmc::ledger::{LedgerLease, LedgerState, PairingMode, ServeOutcome};
-use uq_mlmcmc::store::{ChainCkpt, CollectorCkpt, RunSnapshot, RunStore};
+use uq_mlmcmc::store::{Backend, ChainCkpt, CollectorCkpt, RunSnapshot, RunStore};
 use uq_mlmcmc::LevelFactory;
 
 /// RNG stream seed of the controller at `rank` (every executor derives
@@ -308,7 +311,7 @@ pub(crate) const PHONEBOOK: usize = 1;
 ///
 /// Spawns `config.n_ranks()` rank threads (root, phonebook, collectors,
 /// controllers), each driving its [`crate::roles`] machine with
-/// [`block_on`](crate::runtime::block_on), executes the full schedule
+/// [`block_on`], executes the full schedule
 /// and returns the assembled report. `tracer` may be
 /// [`Tracer::disabled`].
 pub fn run_parallel(
@@ -329,6 +332,9 @@ pub fn run_parallel(
 /// state and RNG stream position, collectors restore their accumulators
 /// and the phonebook re-imports the full rewind ledger.
 ///
+/// Snapshots are tagged [`Backend::Thread`]; the run uses one collector
+/// shard per level.
+///
 /// # Panics
 /// Panics on inconsistent configuration or a snapshot taken by another
 /// backend, seed or rank layout.
@@ -339,7 +345,19 @@ pub fn run_parallel_ckpt(
     checkpoint: Option<&ParallelCheckpoint<'_>>,
     resume: Option<&RunSnapshot>,
 ) -> ParallelReport {
-    crate::roles::run_threads(factory, config, tracer, checkpoint, resume)
+    let config = RuntimeConfig::one_shard(config.clone());
+    let roles = RoleSet::new(
+        factory,
+        &config,
+        tracer,
+        Backend::Thread,
+        checkpoint,
+        resume,
+    );
+    let outs = Universe::run(config.n_ranks(), |ctx: RankCtx<Msg>| {
+        block_on(&mut *roles.machine(ctx.rank()), ctx).0
+    });
+    RoleOut::root(outs).0
 }
 
 #[cfg(test)]
